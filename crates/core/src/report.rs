@@ -302,7 +302,7 @@ pub fn cost_breakdown(title: &str, rec: &RunRecord) -> Table {
     rows.sort_by(|a, b| b.total().total_cmp(&a.total()));
     for row in &rows {
         t.row(vec![
-            row.label.clone(),
+            row.label.to_string(),
             row.events.to_string(),
             fmt_secs(row.compute),
             fmt_secs(row.network),
@@ -335,7 +335,7 @@ pub fn critical_path_table(title: &str, rec: &RunRecord, top: usize) -> Table {
             if total > 0.0 { format!("{:.1}%", 100.0 * row.seconds / total) } else { "-".into() };
         t.row(vec![
             machine,
-            row.label.clone(),
+            row.label.to_string(),
             fmt_secs(row.seconds),
             share,
             fmt_secs(row.skew),
@@ -373,8 +373,21 @@ pub fn to_json<R: ToJson>(records: &[R]) -> String {
 mod tests {
     use super::*;
     use graphbench_sim::{
-        CpuBreakdown, Journal, MetricsRegistry, PhaseTimes, RunMetrics, RunStatus, Timeline, Trace,
+        CpuBreakdown, EventKind, Journal, JournalEvent, MetricsRegistry, Phase, PhaseTimes,
+        RunMetrics, RunStatus, Timeline, Trace,
     };
+
+    /// An execute-phase journal event with no bytes.
+    fn event(label: &'static str, kind: EventKind, dt: f64, per_machine: Vec<f64>) -> JournalEvent {
+        JournalEvent {
+            phase: Phase::Execute,
+            label,
+            kind,
+            dt,
+            per_machine,
+            ..JournalEvent::default()
+        }
+    }
 
     fn record(system: &str, machines: usize, total: f64, ok: bool) -> RunRecord {
         RunRecord {
@@ -455,23 +468,9 @@ mod tests {
 
     #[test]
     fn cost_breakdown_sorts_labels_by_total_time() {
-        use graphbench_sim::{EventKind, JournalEvent};
         let mut rec = record("G", 16, 80.0, true);
-        let ev = |label: &str, kind: EventKind, dt: f64| JournalEvent {
-            seq: 0,
-            superstep: 0,
-            phase: "execute".into(),
-            label: label.into(),
-            kind,
-            dt,
-            barrier_wait: 0.0,
-            net_bytes: 0,
-            messages: 0,
-            disk_bytes: 0,
-            mem_delta: vec![],
-        };
-        rec.journal.push(ev("shuffle", EventKind::Network, 5.0));
-        rec.journal.push(ev("superstep", EventKind::Compute, 30.0));
+        rec.journal.push(event("shuffle", EventKind::Network, 5.0, vec![]));
+        rec.journal.push(event("superstep", EventKind::Compute, 30.0, vec![]));
         let t = cost_breakdown("decomposition", &rec);
         assert_eq!(t.rows[0][0], "superstep");
         assert_eq!(t.rows[1][0], "shuffle");
@@ -480,24 +479,11 @@ mod tests {
 
     #[test]
     fn critical_path_table_names_gating_machines_and_truncates() {
-        use graphbench_sim::{EventKind, Span};
         let mut rec = record("G", 16, 9.0, true);
-        let mut tl = Timeline::new(2);
-        let span = |seq: u64, label: &str, start: f64, dt: f64, per: Vec<f64>| Span {
-            seq,
-            superstep: 0,
-            phase: "execute".into(),
-            label: label.into(),
-            kind: EventKind::Compute,
-            start,
-            dt,
-            barrier_wait: 0.0,
-            per_machine: per,
-        };
-        tl.push(span(0, "superstep", 0.0, 6.0, vec![6.0, 1.0]));
-        tl.push(span(1, "shuffle", 6.0, 2.0, vec![1.0, 2.0]));
-        tl.push(span(2, "barrier", 8.0, 1.0, vec![]));
-        rec.timeline = tl;
+        rec.journal.push(event("superstep", EventKind::Compute, 6.0, vec![6.0, 1.0]));
+        rec.journal.push(event("shuffle", EventKind::Compute, 2.0, vec![1.0, 2.0]));
+        rec.journal.push(event("barrier", EventKind::Compute, 1.0, vec![]));
+        rec.timeline = Timeline::new(2, rec.journal.clone());
         let t = critical_path_table("cp", &rec, 2);
         assert_eq!(t.rows[0][0], "m0");
         assert_eq!(t.rows[0][1], "superstep");
@@ -525,21 +511,12 @@ mod tests {
 
     #[test]
     fn phase_table_normalizes_bytes_moved_by_result_items() {
-        use graphbench_sim::{EventKind, JournalEvent};
         let mut rec = record("BV", 16, 40.0, true);
         rec.result_items = 4;
         rec.journal.push(JournalEvent {
-            seq: 0,
-            superstep: 0,
-            phase: "execute".into(),
-            label: "shuffle".into(),
-            kind: EventKind::Network,
-            dt: 1.0,
-            barrier_wait: 0.0,
             net_bytes: 8192,
             messages: 1,
-            disk_bytes: 0,
-            mem_delta: vec![],
+            ..event("shuffle", EventKind::Network, 1.0, vec![])
         });
         let t = phase_table("x", &[rec]);
         // 8192 B over 4 results = 2.0 KB per result.

@@ -43,8 +43,8 @@ pub struct RunRecord {
     /// Named counters and histograms accumulated during the run.
     pub registry: MetricsRegistry,
     /// Per-machine span timeline behind the `--trace` Perfetto export and
-    /// the critical-path report. Replaying it reproduces `runtime`
-    /// bit-for-bit.
+    /// the critical-path report: a view of `journal`'s timed events that
+    /// shares its storage. Replaying it reproduces `runtime` bit-for-bit.
     pub timeline: Timeline,
     /// The simulated runtime: the cluster clock when the run ended.
     /// `metrics.total_time()` sums the same charges per phase and so can

@@ -130,15 +130,18 @@ pub fn set_chunk_size(n: usize) {
     CHUNK.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Split `weights.len()` items into contiguous spans of roughly
-/// `chunk_items × mean-weight` cumulative weight each, returned as
-/// `(start, end)` half-open index ranges in ascending order.
+/// Split `weights.len()` items into contiguous spans, returned as
+/// `(start, end)` half-open index ranges in ascending order. A span closes
+/// once it reaches `chunk_items × mean-weight` cumulative weight or holds
+/// `chunk_items` items, whichever comes first.
 ///
 /// This is the degree-aware counterpart of `slice::chunks(chunk_items)`:
 /// with uniform weights it produces the same spans, but when one item is a
 /// power-law hub carrying most of a machine's edges, the hub lands in a
 /// small (possibly single-item) span instead of dragging `chunk_items - 1`
 /// neighbours into the same host-thread task and serializing the machine.
+/// The item cap keeps the light items around a hub in ordinary spans: the
+/// hub inflates the mean weight, so weight alone would lump them together.
 /// Span boundaries depend only on `(weights, chunk_items)` — never on the
 /// thread count — and every simulated metric is span-boundary-invariant by
 /// the same merge discipline that makes `GRAPHBENCH_CHUNK` a free tunable,
@@ -163,7 +166,7 @@ pub fn weighted_spans(weights: &[u64], chunk_items: usize) -> Vec<(usize, usize)
     let mut acc = 0u64;
     for (i, &w) in weights.iter().enumerate() {
         acc = acc.saturating_add(w);
-        if acc >= target {
+        if acc >= target || i + 1 - start >= chunk_items {
             spans.push((start, i + 1));
             start = i + 1;
             acc = 0;

@@ -93,9 +93,8 @@ pub struct RunOutput {
     pub journal: Journal,
     /// Named counters and histograms accumulated during the run.
     pub registry: MetricsRegistry,
-    /// Per-machine span timeline: one span per timed charge, carrying the
-    /// per-machine base busy vector. Replaying it reproduces `runtime`
-    /// bit-for-bit.
+    /// Per-machine span timeline: a view of the journal's timed events,
+    /// sharing its storage. Replaying it reproduces `runtime` bit-for-bit.
     pub timeline: Timeline,
     /// The cluster clock when the run ended — the simulated runtime.
     pub runtime: f64,

@@ -239,10 +239,11 @@ mod tests {
         let mut r = Recovery::new(&c, RecoveryModel::CheckpointReplay).with_checkpoint_bytes(4_000);
         c.advance_stall(2.0).unwrap();
         r.at_barrier(&mut c).unwrap();
-        let kinds: Vec<_> =
-            c.journal().events().iter().map(|e| (e.kind, e.label.clone())).collect();
+        let kinds: Vec<_> = c.journal().events().iter().map(|e| (e.kind, e.label)).collect();
         assert!(
-            kinds.iter().any(|(k, l)| *k == graphbench_sim::EventKind::HdfsRead && l == "recovery"),
+            kinds
+                .iter()
+                .any(|(k, l)| *k == graphbench_sim::EventKind::HdfsRead && *l == "recovery"),
             "{kinds:?}"
         );
     }
@@ -354,7 +355,7 @@ mod tests {
         assert!(ev.crashed && ev.resized);
         assert_eq!(c.physical_machines(), 3);
         // The recovery stall is charged before the migration events.
-        let labels: Vec<&str> = c.journal().events().iter().map(|e| e.label.as_str()).collect();
+        let labels: Vec<&str> = c.journal().events().iter().map(|e| e.label).collect();
         let first_recovery = labels.iter().position(|&l| l == "recovery").unwrap();
         let first_migrate = labels.iter().position(|&l| l == "migrate").unwrap();
         assert!(first_recovery < first_migrate, "{labels:?}");

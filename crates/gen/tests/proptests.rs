@@ -11,36 +11,36 @@ const CASES: u32 = 32;
 
 #[test]
 fn chung_lu_respects_counts_and_ranges() {
+    // A case that once failed: two small components anchored into each
+    // other instead of into the giant one.
+    chung_lu_case(&(129, 1, 0.5138548730699318, 773, true));
     let gen = |r: &mut _| {
         (int(r, 10..2_000), int(r, 1..20), float(r, 0.3..0.95), int(r, 0..1_000), coin(r))
     };
-    cases(
-        "chung_lu_respects_counts_and_ranges",
-        CASES,
-        gen,
-        |&(n, avg_deg, alpha, seed, connect)| {
-            let cfg = PowerLawConfig {
-                num_vertices: n,
-                num_edges: n * avg_deg,
-                alpha,
-                offset: 3.0,
-                connect,
-                seed,
-            };
-            let el = chung_lu(&cfg);
-            assert_eq!(el.num_vertices, n);
-            // Connect-mode may add up to one stitching edge per component.
-            assert!(el.num_edges() >= n * avg_deg);
-            assert!(el.num_edges() < n * avg_deg + n);
-            for e in &el.edges {
-                assert!((e.src as u64) < n && (e.dst as u64) < n);
-            }
-            if connect {
-                let g = CsrGraph::from_edge_list(&el);
-                assert_eq!(stats::compute_stats(&g).components, 1);
-            }
-        },
-    );
+    cases("chung_lu_respects_counts_and_ranges", CASES, gen, chung_lu_case);
+}
+
+fn chung_lu_case(&(n, avg_deg, alpha, seed, connect): &(u64, u64, f64, u64, bool)) {
+    let cfg = PowerLawConfig {
+        num_vertices: n,
+        num_edges: n * avg_deg,
+        alpha,
+        offset: 3.0,
+        connect,
+        seed,
+    };
+    let el = chung_lu(&cfg);
+    assert_eq!(el.num_vertices, n);
+    // Connect-mode may add up to one stitching edge per component.
+    assert!(el.num_edges() >= n * avg_deg);
+    assert!(el.num_edges() < n * avg_deg + n);
+    for e in &el.edges {
+        assert!((e.src as u64) < n && (e.dst as u64) < n);
+    }
+    if connect {
+        let g = CsrGraph::from_edge_list(&el);
+        assert_eq!(stats::compute_stats(&g).components, 1);
+    }
 }
 
 #[test]

@@ -7,7 +7,7 @@ use crate::metrics::{CpuBreakdown, PhaseTimes};
 use crate::observer::SuperstepSnapshot;
 use crate::registry::{MetricsRegistry, SECONDS_BUCKETS};
 use crate::spec::{ClusterSpec, FaultEvent};
-use crate::timeline::{Span, Timeline};
+use crate::timeline::Timeline;
 use crate::trace::Trace;
 use crate::{MachineId, SimError};
 
@@ -41,12 +41,13 @@ impl TransientFault {
 
 /// End-to-end processing phases, matching the paper's reporting (§4.2):
 /// load (read + partition), execute, save, and overhead (everything else —
-/// start-up, synchronization, repartitioning).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// start-up, synchronization, repartitioning). A run starts in `Overhead`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Phase {
     Load,
     Execute,
     Save,
+    #[default]
     Overhead,
 }
 
@@ -60,20 +61,6 @@ impl Phase {
             Phase::Overhead => "overhead",
         }
     }
-}
-
-/// One pending charge on its way into the journal.
-#[derive(Default)]
-struct Charge {
-    dt: f64,
-    barrier_wait: f64,
-    net_bytes: u64,
-    messages: u64,
-    disk_bytes: u64,
-    mem_delta: Vec<i64>,
-    /// Base (fault-free) busy seconds per machine, recorded into the
-    /// timeline. Empty for cluster-wide charges no single machine gates.
-    per_machine: Vec<f64>,
 }
 
 /// Per-machine running state.
@@ -140,7 +127,6 @@ pub struct Cluster {
     /// uses the physical residency in `machines`.
     frag_mem: Vec<u64>,
     phase: Phase,
-    phase_times: PhaseTimes,
     trace: Trace,
     supersteps: u64,
     total_net_bytes: u64,
@@ -159,7 +145,6 @@ pub struct Cluster {
     label: &'static str,
     journal: Journal,
     registry: MetricsRegistry,
-    timeline: Timeline,
 }
 
 impl Cluster {
@@ -190,7 +175,6 @@ impl Cluster {
             frag_map: (0..machines_count).collect(),
             frag_mem: vec![0; machines_count],
             phase: Phase::Overhead,
-            phase_times: PhaseTimes::default(),
             trace: Trace::new(),
             supersteps: 0,
             total_net_bytes: 0,
@@ -202,7 +186,6 @@ impl Cluster {
             label: Phase::Overhead.name(),
             journal: Journal::new(),
             registry: MetricsRegistry::new(),
-            timeline: Timeline::new(machines_count),
         }
     }
 
@@ -289,39 +272,38 @@ impl Cluster {
         &self.registry
     }
 
-    /// Per-machine span timeline of every timed charge so far.
-    pub fn timeline(&self) -> &Timeline {
-        &self.timeline
+    /// Hand over the run's records: the memory trace, the journal, the
+    /// registry, and the timeline — a view of the journal over every
+    /// physical machine the run ever had, sharing its events.
+    pub fn into_records(self) -> (Trace, Journal, MetricsRegistry, Timeline) {
+        let timeline = Timeline::new(self.machines.len(), self.journal.clone());
+        (self.trace, self.journal, self.registry, timeline)
     }
 
     pub fn phase(&self) -> Phase {
         self.phase
     }
 
-    /// Accumulated time per phase so far.
+    /// Accumulated time per phase so far, summed from the journal.
     pub fn phase_times(&self) -> PhaseTimes {
-        self.phase_times
+        self.journal.phase_times()
     }
 
     fn advance(&mut self, dt: f64) -> Result<(), SimError> {
         debug_assert!(dt >= 0.0 && dt.is_finite(), "bad time delta {dt}");
         self.clock += dt;
-        match self.phase {
-            Phase::Load => self.phase_times.load += dt,
-            Phase::Execute => self.phase_times.execute += dt,
-            Phase::Save => self.phase_times.save += dt,
-            Phase::Overhead => self.phase_times.overhead += dt,
-        }
         if self.clock > self.spec.deadline {
             return Err(SimError::Timeout);
         }
         Ok(())
     }
 
-    /// Append a journal event and update the registry for one charge.
+    /// Append a charge's journal event (its only per-charge record) and
+    /// fold it into the registry. The caller fills in what the charge cost;
+    /// this stamps its kind, sequence number, superstep, phase and label.
     /// Zero-duration memory charges call this directly; timed charges go
     /// through [`Cluster::commit`].
-    fn record(&mut self, kind: EventKind, c: Charge) {
+    fn record(&mut self, kind: EventKind, c: JournalEvent) {
         self.registry.inc(kind.counter(), 1);
         self.registry.observe(kind.seconds_histogram(), &SECONDS_BUCKETS, c.dt);
         if c.net_bytes > 0 {
@@ -345,39 +327,23 @@ impl Cluster {
         self.journal.push(JournalEvent {
             seq: self.journal.len() as u64,
             superstep: self.supersteps,
-            phase: self.phase.name().to_string(),
-            label: self.label.to_string(),
+            phase: self.phase,
+            label: self.label,
             kind,
-            dt: c.dt,
-            barrier_wait: c.barrier_wait,
-            net_bytes: c.net_bytes,
-            messages: c.messages,
-            disk_bytes: c.disk_bytes,
-            mem_delta: c.mem_delta,
+            ..c
         });
     }
 
-    /// The single commit point for timed charges: timeline + journal +
-    /// registry + clock. Every time-advancing method funnels through here,
-    /// so summing journal durations per phase reproduces
-    /// [`Cluster::phase_times`] bit-for-bit — and replaying timeline span
-    /// durations reproduces the clock bit-for-bit (zero-duration memory
-    /// events bypass this and never advance it). The event is recorded even
-    /// when its duration trips the 24-hour deadline — the timeout is then
-    /// visible *in* the journal and the trace.
-    fn commit(&mut self, kind: EventKind, mut c: Charge) -> Result<(), SimError> {
+    /// The single commit point for timed charges: journal + registry +
+    /// clock. Every time-advancing method funnels through here and the
+    /// clock advances nowhere else, so replaying journal durations in order
+    /// reproduces the clock bit-for-bit — per phase
+    /// ([`Cluster::phase_times`]) and as timeline span starts (zero-duration
+    /// memory events bypass this and never advance it). The event is
+    /// recorded even when its duration trips the 24-hour deadline — the
+    /// timeout is then visible *in* the journal and the trace.
+    fn commit(&mut self, kind: EventKind, c: JournalEvent) -> Result<(), SimError> {
         let dt = c.dt;
-        self.timeline.push(Span {
-            seq: self.journal.len() as u64,
-            superstep: self.supersteps,
-            phase: self.phase.name().to_string(),
-            label: self.label.to_string(),
-            kind,
-            start: self.clock,
-            dt,
-            barrier_wait: c.barrier_wait,
-            per_machine: std::mem::take(&mut c.per_machine),
-        });
         self.record(kind, c);
         self.advance(dt)
     }
@@ -389,7 +355,7 @@ impl Cluster {
     fn commit_labeled_stall(&mut self, label: &'static str, dt: f64) -> Result<(), SimError> {
         let saved = self.label;
         self.label = label;
-        let r = self.commit(EventKind::Stall, Charge { dt, ..Charge::default() });
+        let r = self.commit(EventKind::Stall, JournalEvent { dt, ..JournalEvent::default() });
         self.label = saved;
         r
     }
@@ -448,7 +414,7 @@ impl Cluster {
     /// Charge the framework's one-time start-up for this cluster size.
     pub fn charge_startup(&mut self) -> Result<(), SimError> {
         let dt = self.profile.startup_for(self.spec.machines);
-        self.commit(EventKind::Startup, Charge { dt, ..Charge::default() })
+        self.commit(EventKind::Startup, JournalEvent { dt, ..JournalEvent::default() })
     }
 
     /// Charge compute work: `ops[f]` elementary operations on fragment `f`,
@@ -491,7 +457,7 @@ impl Cluster {
         let wait = (max_t - min_t).max(0.0);
         self.commit(
             EventKind::Compute,
-            Charge { dt: max_t, barrier_wait: wait, per_machine, ..Charge::default() },
+            JournalEvent { dt: max_t, barrier_wait: wait, per_machine, ..JournalEvent::default() },
         )?;
         if slow.is_some() {
             self.commit_labeled_stall("straggler", (max_slowed - max_t).max(0.0))?;
@@ -516,7 +482,7 @@ impl Cluster {
         per_machine[p] = t;
         self.commit(
             EventKind::Compute,
-            Charge { dt: t, barrier_wait: wait, per_machine, ..Charge::default() },
+            JournalEvent { dt: t, barrier_wait: wait, per_machine, ..JournalEvent::default() },
         )?;
         if slow.is_some() {
             self.commit_labeled_stall("straggler", (ts - t).max(0.0))?;
@@ -583,13 +549,13 @@ impl Cluster {
         let wait = (max_t - min_t).max(0.0);
         self.commit(
             EventKind::Network,
-            Charge {
+            JournalEvent {
                 dt: max_t,
                 barrier_wait: wait,
                 net_bytes: bytes,
                 messages,
                 per_machine,
-                ..Charge::default()
+                ..JournalEvent::default()
             },
         )?;
         if deg.is_some() {
@@ -710,7 +676,6 @@ impl Cluster {
         if self.machines.len() < new_machines {
             self.machines.resize(new_machines, Machine::default());
         }
-        self.timeline.ensure_machines(new_machines);
 
         // Migration legs per physical machine, over the union of the old
         // and new machine sets.
@@ -838,7 +803,7 @@ impl Cluster {
     /// recovery stalls where workers wait for a replacement to catch up.
     pub fn advance_stall(&mut self, secs: f64) -> Result<(), SimError> {
         assert!(secs >= 0.0 && secs.is_finite());
-        self.commit(EventKind::Stall, Charge { dt: secs, ..Charge::default() })
+        self.commit(EventKind::Stall, JournalEvent { dt: secs, ..JournalEvent::default() })
     }
 
     /// Charge latency-bound waiting (e.g. distributed-lock round trips)
@@ -862,7 +827,7 @@ impl Cluster {
         let wait = (max_t - min_t).max(0.0);
         self.commit(
             EventKind::NetworkWait,
-            Charge { dt: max_t, barrier_wait: wait, per_machine, ..Charge::default() },
+            JournalEvent { dt: max_t, barrier_wait: wait, per_machine, ..JournalEvent::default() },
         )
     }
 
@@ -898,7 +863,7 @@ impl Cluster {
             * self.spec.superstep_scale;
         // The event carries the index of the superstep it closes; the
         // counter is bumped even when the barrier trips the deadline.
-        let r = self.commit(EventKind::Barrier, Charge { dt, ..Charge::default() });
+        let r = self.commit(EventKind::Barrier, JournalEvent { dt, ..JournalEvent::default() });
         self.supersteps += 1;
         if !self.spec.observers.is_empty() {
             let snapshot = SuperstepSnapshot {
@@ -957,12 +922,12 @@ impl Cluster {
         let wait = (max_t - min_t).max(0.0);
         self.commit(
             kind,
-            Charge {
+            JournalEvent {
                 dt: max_t,
                 barrier_wait: wait,
                 disk_bytes: total,
                 per_machine,
-                ..Charge::default()
+                ..JournalEvent::default()
             },
         )?;
         if slow.is_some() {
@@ -1023,7 +988,10 @@ impl Cluster {
         if bytes > 0 {
             let mut delta = vec![0i64; self.spec.machines];
             delta[machine] = bytes as i64;
-            self.record(EventKind::Alloc, Charge { mem_delta: delta, ..Charge::default() });
+            self.record(
+                EventKind::Alloc,
+                JournalEvent { mem_delta: delta, ..JournalEvent::default() },
+            );
         }
         Ok(())
     }
@@ -1046,7 +1014,10 @@ impl Cluster {
             }
         }
         if delta.iter().any(|&d| d != 0) {
-            self.record(EventKind::Alloc, Charge { mem_delta: delta, ..Charge::default() });
+            self.record(
+                EventKind::Alloc,
+                JournalEvent { mem_delta: delta, ..JournalEvent::default() },
+            );
         }
         match failure {
             Some(e) => Err(e),
@@ -1069,7 +1040,10 @@ impl Cluster {
         if freed > 0 {
             let mut delta = vec![0i64; self.spec.machines];
             delta[machine] = -(freed as i64);
-            self.record(EventKind::Free, Charge { mem_delta: delta, ..Charge::default() });
+            self.record(
+                EventKind::Free,
+                JournalEvent { mem_delta: delta, ..JournalEvent::default() },
+            );
         }
     }
 
@@ -1086,7 +1060,10 @@ impl Cluster {
             }
         }
         if any {
-            self.record(EventKind::Free, Charge { mem_delta: delta, ..Charge::default() });
+            self.record(
+                EventKind::Free,
+                JournalEvent { mem_delta: delta, ..JournalEvent::default() },
+            );
         }
     }
 
@@ -1503,7 +1480,7 @@ mod tests {
         c.advance_compute(&[1.0e6, 1.0e6], 1).unwrap();
         let events = c.journal().events();
         assert_eq!(events[0].label, "superstep");
-        assert_eq!(events[0].phase, "execute");
+        assert_eq!(events[0].phase, Phase::Execute);
         assert_eq!(events[0].superstep, 0);
         assert_eq!(events[1].label, "shuffle");
         assert_eq!(events[1].kind, EventKind::Network);

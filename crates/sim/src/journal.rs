@@ -7,23 +7,35 @@
 //! [`JournalEvent`] carrying the superstep index, the accounting phase, an
 //! engine-chosen activity label ("superstep", "shuffle", "hdfs_write",
 //! ...), the simulated duration, the bytes that moved, and the straggler
-//! imbalance. Because the cluster funnels every charge through a single
-//! commit point, summing event durations per phase reproduces
-//! [`crate::PhaseTimes`] bit-for-bit — a property the property tests pin down.
+//! imbalance. The cluster funnels every charge through a single commit
+//! point and advances its clock nowhere else, so the run's
+//! [`crate::PhaseTimes`] are the per-phase sums of event durations
+//! ([`Journal::phase_times`]) and the durations replay the clock
+//! bit-for-bit — a property the property tests pin down.
 //!
-//! [`Journal::to_jsonl`] / [`Journal::from_jsonl`] give the
-//! one-object-per-line format the bench bins export via `--journal <path>`.
+//! The journal is the run's only per-charge record. Timed events also carry
+//! the per-machine base busy vector, so the [`crate::Timeline`] is a view of
+//! the same events rather than a second copy: the events sit behind an
+//! [`Arc`], and a timeline made from a journal shares them.
+//!
+//! [`Journal::to_jsonl`] gives the one-object-per-line format the bench bins
+//! export via `--journal <path>`.
 
+use crate::cluster::Phase;
 use crate::impl_to_json;
-use crate::json::{self, FromJson, ToJson, Value, Writer};
+use crate::json::{self, ToJson, Writer};
 use crate::metrics::PhaseTimes;
+use crate::MachineId;
+use std::sync::Arc;
 
-/// What kind of charge produced an event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// What kind of charge produced an event. `Compute` is the default only so
+/// that an event can be built with `..JournalEvent::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum EventKind {
     /// One-time framework start-up ([`crate::Cluster::charge_startup`]).
     Startup,
     /// Parallel or master-side compute.
+    #[default]
     Compute,
     /// A message exchange over the network.
     Network,
@@ -130,6 +142,12 @@ impl EventKind {
         }
     }
 
+    /// Whether the charge advanced the clock: every kind except the
+    /// zero-duration memory events. The timeline shows exactly these.
+    pub(crate) fn is_timed(self) -> bool {
+        !matches!(self, EventKind::Alloc | EventKind::Free)
+    }
+
     /// Broad resource class for cost-breakdown tables.
     pub fn class(self) -> &'static str {
         match self {
@@ -147,7 +165,7 @@ impl EventKind {
 }
 
 /// One cluster charge.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct JournalEvent {
     /// Position in the run's charge sequence (0-based).
     pub seq: u64,
@@ -155,11 +173,11 @@ pub struct JournalEvent {
     /// it was recorded (a [`EventKind::Barrier`] event closes its own
     /// superstep).
     pub superstep: u64,
-    /// Accounting phase: `load`, `execute`, `save`, or `overhead`.
-    pub phase: String,
+    /// Accounting phase.
+    pub phase: Phase,
     /// Engine-chosen activity label ("superstep", "shuffle", ...); defaults
     /// to the phase name.
-    pub label: String,
+    pub label: &'static str,
     pub kind: EventKind,
     /// Simulated seconds this charge advanced the wall clock (slowest
     /// machine under BSP semantics). Zero for memory events.
@@ -175,6 +193,26 @@ pub struct JournalEvent {
     pub disk_bytes: u64,
     /// Per-machine memory delta in bytes (positive: alloc, negative: free).
     pub mem_delta: Vec<i64>,
+    /// Base (fault-free) busy seconds per physical machine of a timed
+    /// charge. Empty for memory events and for cluster-wide charges
+    /// (start-up, barriers, stalls) that no single machine gates. Written by
+    /// the timeline's export, not by the journal's.
+    pub per_machine: Vec<f64>,
+}
+
+impl JournalEvent {
+    /// The machine that gated this charge: the first machine whose base
+    /// busy time is the largest. `None` for cluster-wide charges.
+    pub fn gating_machine(&self) -> Option<MachineId> {
+        let mut best: Option<(MachineId, f64)> = None;
+        for (i, &t) in self.per_machine.iter().enumerate() {
+            match best {
+                Some((_, bt)) if t <= bt => {}
+                _ => best = Some((i, t)),
+            }
+        }
+        best.map(|(i, _)| i)
+    }
 }
 
 impl ToJson for EventKind {
@@ -183,13 +221,9 @@ impl ToJson for EventKind {
     }
 }
 
-impl FromJson for EventKind {
-    fn from_json(v: &Value) -> Result<EventKind, json::Error> {
-        let name = String::from_json(v)?;
-        EventKind::ALL
-            .into_iter()
-            .find(|k| k.name() == name)
-            .ok_or_else(|| json::Error::new(format!("unknown event kind `{name}`")))
+impl ToJson for Phase {
+    fn write_json(&self, w: &mut Writer) {
+        w.str(self.name());
     }
 }
 
@@ -207,29 +241,11 @@ impl_to_json!(JournalEvent {
     mem_delta if nonempty,
 });
 
-impl FromJson for JournalEvent {
-    fn from_json(v: &Value) -> Result<JournalEvent, json::Error> {
-        Ok(JournalEvent {
-            seq: v.field("seq")?,
-            superstep: v.field("superstep")?,
-            phase: v.field("phase")?,
-            label: v.field("label")?,
-            kind: v.field("kind")?,
-            dt: v.field("dt")?,
-            barrier_wait: v.field_or_default("barrier_wait")?,
-            net_bytes: v.field_or_default("net_bytes")?,
-            messages: v.field_or_default("messages")?,
-            disk_bytes: v.field_or_default("disk_bytes")?,
-            mem_delta: v.field_or_default("mem_delta")?,
-        })
-    }
-}
-
 /// Aggregate cost of one activity label — a row of the paper's Figure 10
 /// decomposition.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LabelCost {
-    pub label: String,
+    pub label: &'static str,
     /// Number of journal events attributed to the label.
     pub events: u64,
     /// Simulated seconds per resource class.
@@ -251,13 +267,19 @@ impl LabelCost {
     }
 }
 
-/// The ordered event log of one run.
+/// The ordered event log of one run. Clones share the events; a push to a
+/// shared journal copies them first (copy-on-write), so a clone never sees
+/// later pushes.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Journal {
-    events: Vec<JournalEvent>,
+    events: Arc<Vec<JournalEvent>>,
 }
 
-impl_to_json!(Journal { events });
+impl ToJson for Journal {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|o| o.field("events", self.events()));
+    }
+}
 
 impl Journal {
     pub fn new() -> Self {
@@ -265,7 +287,7 @@ impl Journal {
     }
 
     pub fn push(&mut self, ev: JournalEvent) {
-        self.events.push(ev);
+        Arc::make_mut(&mut self.events).push(ev);
     }
 
     pub fn events(&self) -> &[JournalEvent] {
@@ -284,16 +306,16 @@ impl Journal {
     /// the cluster's clock when no charge was recorded outside the journal).
     pub fn total_time(&self) -> f64 {
         let mut t = 0.0;
-        for ev in &self.events {
+        for ev in self.events.iter() {
             t += ev.dt;
         }
         t
     }
 
     /// Sum of event durations in one phase, in event order.
-    pub fn phase_time(&self, phase: &str) -> f64 {
+    pub fn phase_time(&self, phase: Phase) -> f64 {
         let mut t = 0.0;
-        for ev in &self.events {
+        for ev in self.events.iter() {
             if ev.phase == phase {
                 t += ev.dt;
             }
@@ -301,18 +323,18 @@ impl Journal {
         t
     }
 
-    /// Recompute [`PhaseTimes`] from the events. The cluster adds each
-    /// charge to its phase accumulator at the same moment it records the
-    /// event, so this replays the identical f64 addition sequence and the
-    /// result equals [`crate::Cluster::phase_times`] exactly.
+    /// Simulated seconds per phase, summed in event order. This is what
+    /// [`crate::Cluster::phase_times`] reports: the clock advances only at
+    /// the commit point that records the event, so no second accumulator
+    /// is needed.
     pub fn phase_times(&self) -> PhaseTimes {
         let mut pt = PhaseTimes::default();
-        for ev in &self.events {
-            match ev.phase.as_str() {
-                "load" => pt.load += ev.dt,
-                "execute" => pt.execute += ev.dt,
-                "save" => pt.save += ev.dt,
-                _ => pt.overhead += ev.dt,
+        for ev in self.events.iter() {
+            match ev.phase {
+                Phase::Load => pt.load += ev.dt,
+                Phase::Execute => pt.execute += ev.dt,
+                Phase::Save => pt.save += ev.dt,
+                Phase::Overhead => pt.overhead += ev.dt,
             }
         }
         pt
@@ -329,8 +351,8 @@ impl Journal {
     /// a fault-free run.
     pub fn fault_seconds(&self) -> f64 {
         let mut t = 0.0;
-        for ev in &self.events {
-            if matches!(ev.label.as_str(), "recovery" | "retry" | "straggler") {
+        for ev in self.events.iter() {
+            if matches!(ev.label, "recovery" | "retry" | "straggler") {
                 t += ev.dt;
             }
         }
@@ -344,7 +366,7 @@ impl Journal {
     /// reconfiguration, not a failure.
     pub fn elastic_seconds(&self) -> f64 {
         let mut t = 0.0;
-        for ev in &self.events {
+        for ev in self.events.iter() {
             if ev.label == "migrate" {
                 t += ev.dt;
             }
@@ -372,7 +394,7 @@ impl Journal {
     pub fn memory_byte_seconds(&self) -> f64 {
         let mut in_use: i64 = 0;
         let mut total = 0.0;
-        for ev in &self.events {
+        for ev in self.events.iter() {
             for &d in &ev.mem_delta {
                 in_use += d;
             }
@@ -384,11 +406,11 @@ impl Journal {
     /// Per-label cost decomposition, ordered by first appearance.
     pub fn breakdown(&self) -> Vec<LabelCost> {
         let mut rows: Vec<LabelCost> = Vec::new();
-        for ev in &self.events {
+        for ev in self.events.iter() {
             let idx = match rows.iter().position(|r| r.label == ev.label) {
                 Some(i) => i,
                 None => {
-                    rows.push(LabelCost { label: ev.label.clone(), ..LabelCost::default() });
+                    rows.push(LabelCost { label: ev.label, ..LabelCost::default() });
                     rows.len() - 1
                 }
             };
@@ -411,23 +433,11 @@ impl Journal {
     /// One JSON object per line, in event order.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        for ev in &self.events {
+        for ev in self.events.iter() {
             out.push_str(&json::to_string(ev));
             out.push('\n');
         }
         out
-    }
-
-    /// Parse a [`Journal::to_jsonl`] export (blank lines are skipped).
-    pub fn from_jsonl(s: &str) -> Result<Journal, json::Error> {
-        let mut events = Vec::new();
-        for line in s.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            events.push(json::from_str(line)?);
-        }
-        Ok(Journal { events })
     }
 }
 
@@ -435,73 +445,62 @@ impl Journal {
 mod tests {
     use super::*;
 
-    fn ev(kind: EventKind, phase: &str, label: &str, dt: f64) -> JournalEvent {
-        JournalEvent {
-            seq: 0,
-            superstep: 0,
-            phase: phase.to_string(),
-            label: label.to_string(),
-            kind,
-            dt,
-            barrier_wait: 0.0,
-            net_bytes: 0,
-            messages: 0,
-            disk_bytes: 0,
-            mem_delta: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let mut j = Journal::new();
-        let mut e = ev(EventKind::Network, "execute", "shuffle", 1.5);
-        e.net_bytes = 1000;
-        e.messages = 10;
-        e.barrier_wait = 0.25;
-        j.push(e);
-        j.push(ev(EventKind::Alloc, "load", "load", 0.0));
-        let text = j.to_jsonl();
-        assert_eq!(text.lines().count(), 2);
-        let back = Journal::from_jsonl(&text).unwrap();
-        assert_eq!(back, j);
+    fn ev(kind: EventKind, phase: Phase, label: &'static str, dt: f64) -> JournalEvent {
+        JournalEvent { phase, label, kind, dt, ..JournalEvent::default() }
     }
 
     #[test]
     fn zero_fields_are_omitted_from_jsonl() {
         let mut j = Journal::new();
-        j.push(ev(EventKind::Barrier, "execute", "barrier", 0.1));
+        j.push(ev(EventKind::Barrier, Phase::Execute, "barrier", 0.1));
         let line = j.to_jsonl();
         assert!(!line.contains("net_bytes"), "{line}");
         assert!(!line.contains("mem_delta"), "{line}");
         assert!(line.contains("\"kind\":\"barrier\""), "{line}");
+        // The per-machine vector belongs to the timeline's export.
+        let mut j = Journal::new();
+        let mut compute = ev(EventKind::Compute, Phase::Execute, "superstep", 1.0);
+        compute.per_machine = vec![1.0, 0.5];
+        j.push(compute);
+        assert!(!j.to_jsonl().contains("per_machine"));
+    }
+
+    #[test]
+    fn clones_share_events_until_a_push() {
+        let mut j = Journal::new();
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 1.0));
+        let view = j.clone();
+        assert!(std::ptr::eq(view.events(), j.events()));
+        j.push(ev(EventKind::Barrier, Phase::Execute, "barrier", 0.5));
+        assert_eq!((view.len(), j.len()), (1, 2));
     }
 
     #[test]
     fn phase_times_and_totals_add_up() {
         let mut j = Journal::new();
-        j.push(ev(EventKind::HdfsRead, "load", "load", 2.0));
-        j.push(ev(EventKind::Compute, "execute", "superstep", 3.0));
-        j.push(ev(EventKind::Barrier, "execute", "barrier", 0.5));
-        j.push(ev(EventKind::HdfsWrite, "save", "save", 1.0));
+        j.push(ev(EventKind::HdfsRead, Phase::Load, "load", 2.0));
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 3.0));
+        j.push(ev(EventKind::Barrier, Phase::Execute, "barrier", 0.5));
+        j.push(ev(EventKind::HdfsWrite, Phase::Save, "save", 1.0));
         let pt = j.phase_times();
         assert_eq!(pt.load, 2.0);
         assert_eq!(pt.execute, 3.5);
         assert_eq!(pt.save, 1.0);
         assert_eq!(pt.overhead, 0.0);
         assert_eq!(j.total_time(), pt.total());
-        assert_eq!(j.phase_time("execute"), 3.5);
+        assert_eq!(j.phase_time(Phase::Execute), 3.5);
     }
 
     #[test]
     fn breakdown_groups_by_label_in_first_appearance_order() {
         let mut j = Journal::new();
-        let mut net = ev(EventKind::Network, "execute", "shuffle", 1.0);
+        let mut net = ev(EventKind::Network, Phase::Execute, "shuffle", 1.0);
         net.net_bytes = 500;
         net.messages = 5;
-        j.push(ev(EventKind::Compute, "execute", "superstep", 2.0));
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 2.0));
         j.push(net);
-        j.push(ev(EventKind::Compute, "execute", "superstep", 4.0));
-        j.push(ev(EventKind::Barrier, "execute", "barrier", 0.25));
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 4.0));
+        j.push(ev(EventKind::Barrier, Phase::Execute, "barrier", 0.25));
         let rows = j.breakdown();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].label, "superstep");
@@ -518,11 +517,11 @@ mod tests {
     #[test]
     fn fault_seconds_sums_only_fault_labels() {
         let mut j = Journal::new();
-        j.push(ev(EventKind::Compute, "execute", "superstep", 2.0));
-        j.push(ev(EventKind::Stall, "execute", "recovery", 3.0));
-        j.push(ev(EventKind::Stall, "execute", "retry", 0.5));
-        j.push(ev(EventKind::Stall, "execute", "straggler", 1.5));
-        j.push(ev(EventKind::Barrier, "execute", "barrier", 0.25));
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 2.0));
+        j.push(ev(EventKind::Stall, Phase::Execute, "recovery", 3.0));
+        j.push(ev(EventKind::Stall, Phase::Execute, "retry", 0.5));
+        j.push(ev(EventKind::Stall, Phase::Execute, "straggler", 1.5));
+        j.push(ev(EventKind::Barrier, Phase::Execute, "barrier", 0.25));
         assert_eq!(j.fault_seconds(), 5.0);
         assert_eq!(Journal::new().fault_seconds(), 0.0);
     }
@@ -530,14 +529,14 @@ mod tests {
     #[test]
     fn memory_byte_seconds_integrates_in_use_over_time() {
         let mut j = Journal::new();
-        let mut alloc = ev(EventKind::Alloc, "load", "load", 0.0);
+        let mut alloc = ev(EventKind::Alloc, Phase::Load, "load", 0.0);
         alloc.mem_delta = vec![100, 100]; // 200 B in use
         j.push(alloc);
-        j.push(ev(EventKind::Compute, "execute", "superstep", 2.0)); // 400 B·s
-        let mut free = ev(EventKind::Free, "execute", "superstep", 0.0);
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 2.0)); // 400 B·s
+        let mut free = ev(EventKind::Free, Phase::Execute, "superstep", 0.0);
         free.mem_delta = vec![-100, 0]; // 100 B in use
         j.push(free);
-        j.push(ev(EventKind::Compute, "execute", "superstep", 3.0)); // 300 B·s
+        j.push(ev(EventKind::Compute, Phase::Execute, "superstep", 3.0)); // 300 B·s
         assert_eq!(j.memory_byte_seconds(), 700.0);
         assert_eq!(Journal::new().memory_byte_seconds(), 0.0);
     }
@@ -545,9 +544,9 @@ mod tests {
     #[test]
     fn bytes_moved_sums_network_and_disk() {
         let mut j = Journal::new();
-        let mut net = ev(EventKind::Network, "execute", "shuffle", 1.0);
+        let mut net = ev(EventKind::Network, Phase::Execute, "shuffle", 1.0);
         net.net_bytes = 500;
-        let mut disk = ev(EventKind::HdfsWrite, "save", "save", 1.0);
+        let mut disk = ev(EventKind::HdfsWrite, Phase::Save, "save", 1.0);
         disk.disk_bytes = 250;
         j.push(net);
         j.push(disk);
@@ -565,17 +564,15 @@ mod tests {
         }
     }
 
-    /// `EventKind::name()` and the JSON encoding are
-    /// maintained by hand in two places; pin them to each other for every
-    /// variant so they cannot drift (a drifted name would silently split
-    /// registry counters from journal JSON).
+    /// `EventKind::name()` and the JSON encoding are maintained by hand in
+    /// two places; pin them to each other for every variant so they cannot
+    /// drift (a drifted name would silently split registry counters from
+    /// journal JSON).
     #[test]
     fn kind_names_match_their_json_encoding() {
         for kind in EventKind::ALL {
             let text = json::to_string(&kind);
             assert_eq!(text, format!("\"{}\"", kind.name()), "{kind:?}");
-            let back: EventKind = json::from_str(&text).unwrap();
-            assert_eq!(back, kind, "{kind:?} does not round-trip");
         }
     }
 }

@@ -47,7 +47,7 @@ fn write<T: ToJson + ?Sized>(value: &T, pretty: bool) -> String {
 /// never written.
 ///
 /// ```ignore
-/// impl_to_json!(Span { seq, label, dt, barrier_wait if nonzero, per_machine if nonempty });
+/// impl_to_json!(JournalEvent { seq, label, dt, barrier_wait if nonzero, mem_delta if nonempty });
 /// ```
 #[macro_export]
 macro_rules! impl_to_json {
@@ -127,7 +127,7 @@ impl Writer {
     }
 
     /// An array of `items`.
-    pub fn array<'a, T: ToJson + 'a>(&mut self, items: impl IntoIterator<Item = &'a T>) {
+    pub fn array<T: ToJson>(&mut self, items: impl IntoIterator<Item = T>) {
         self.open('[');
         let mut first = true;
         for item in items {

@@ -42,7 +42,7 @@ pub use spec::{
     ClusterSpec, DiskSpec, FaultEvent, FaultPlan, FaultSpec, NetworkSpec, MAX_ELASTIC_MACHINES,
     RETRY_MAX_ATTEMPTS,
 };
-pub use timeline::{Block, CriticalPath, CriticalPathRow, Span, Timeline};
+pub use timeline::{Block, CriticalPath, CriticalPathRow, Timeline};
 pub use trace::{Trace, TraceSample};
 
 /// Machine index within a cluster.

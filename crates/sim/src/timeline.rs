@@ -1,21 +1,24 @@
 //! Per-machine span timeline, critical-path attribution, and Chrome
 //! trace-event export.
 //!
-//! The journal (one [`crate::JournalEvent`] per charge) records the
-//! cluster-aggregate duration of every charge — the slowest machine under
-//! BSP semantics. That is enough to reproduce phase times bit-for-bit, but
-//! not to answer the paper's *why* questions (§6): which machine gated each
-//! barrier, how much of a label's cost is skew, where simulated time
-//! actually went per machine. The [`Timeline`] keeps what the journal
-//! drops: for every **timed** charge, one [`Span`] carrying the simulated
-//! start time and the per-machine **base** (fault-free) busy vector the
-//! cluster already computed to derive `dt` and `barrier_wait`.
+//! The [`Timeline`] is a view of the run's [`Journal`]: its spans are the
+//! journal's **timed** events (every kind except alloc/free) in commit
+//! order, and it shares the journal's storage. Each timed event carries the
+//! cluster-aggregate duration of its charge (the slowest machine under BSP
+//! semantics) and the per-machine **base** (fault-free) busy vector the
+//! cluster computed to derive `dt` and `barrier_wait`. That answers the
+//! paper's *why* questions (§6): which machine gated each barrier, how much
+//! of a label's cost is skew, where simulated time went per machine.
+//!
+//! A span's start is not stored. The cluster clock advances only at the
+//! commit point that records a timed event, so the running sum of `dt` in
+//! commit order is the clock at each commit, bit-for-bit.
 //!
 //! Invariants, locked by `tests/trace_invariants.rs`:
 //!
-//! * spans are contiguous: `span[i].start + span[i].dt` equals
-//!   `span[i+1].start` bit-for-bit (both are the same f64 addition the
-//!   cluster clock performed);
+//! * spans are contiguous: a span's `start + dt` is the next span's `start`
+//!   bit-for-bit (both are the same f64 addition the cluster clock
+//!   performed);
 //! * replaying span durations in order ([`Timeline::total_time`],
 //!   [`CriticalPath::total`]) reproduces the run's simulated runtime
 //!   bit-for-bit;
@@ -35,59 +38,12 @@
 //! tracing is enabled — one track per host thread with real wallclock
 //! executor spans, so simulated and host cost can be compared per label.
 
+use crate::cluster::Phase;
 use crate::hosttrace::HostSpan;
-use crate::impl_to_json;
-use crate::journal::EventKind;
-use crate::json;
+use crate::journal::{Journal, JournalEvent};
+use crate::json::{self, ToJson, Writer};
 use crate::MachineId;
 use std::fmt::Write as _;
-
-/// One timed cluster charge with its per-machine decomposition. Spans form
-/// the charge level of the run → phase → superstep → charge → machine
-/// hierarchy; the coarser levels are derived from contiguity (see
-/// [`Timeline::phase_blocks`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Span {
-    /// Sequence number of the journal event this span mirrors.
-    pub seq: u64,
-    /// Superstep the charge belongs to (barriers close their own).
-    pub superstep: u64,
-    /// Accounting phase: `load`, `execute`, `save`, or `overhead`.
-    pub phase: String,
-    /// Engine-chosen activity label ("superstep", "shuffle", ...).
-    pub label: String,
-    pub kind: EventKind,
-    /// Simulated start: the cluster clock when the charge committed.
-    pub start: f64,
-    /// Simulated duration (slowest machine under BSP semantics).
-    pub dt: f64,
-    /// Skew inside this charge: how long the fastest machine waited for
-    /// the slowest one.
-    pub barrier_wait: f64,
-    /// Base (fault-free) busy seconds per machine. Empty for cluster-wide
-    /// charges — start-up, barriers, stalls — that no single machine gates.
-    pub per_machine: Vec<f64>,
-}
-
-impl Span {
-    /// Simulated end time. Bit-identical to the next span's `start`.
-    pub fn end(&self) -> f64 {
-        self.start + self.dt
-    }
-
-    /// The machine that gated this charge — the first machine whose base
-    /// busy time equals the span duration. `None` for cluster-wide charges.
-    pub fn gating_machine(&self) -> Option<MachineId> {
-        let mut best: Option<(MachineId, f64)> = None;
-        for (i, &t) in self.per_machine.iter().enumerate() {
-            match best {
-                Some((_, bt)) if t <= bt => {}
-                _ => best = Some((i, t)),
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-}
 
 /// One (gating machine, label) bucket of the critical path.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +51,7 @@ pub struct CriticalPathRow {
     /// `None` attributes to the cluster as a whole (barriers, start-up,
     /// recovery stalls — charges no single machine gates).
     pub machine: Option<MachineId>,
-    pub label: String,
+    pub label: &'static str,
     /// Simulated seconds of the spans this bucket gates, accumulated in
     /// span order.
     pub seconds: f64,
@@ -131,29 +87,55 @@ pub struct Block {
     pub last: usize,
 }
 
-/// Every timed charge of one run, in commit order.
+/// Every timed charge of one run, in commit order: a view of the journal.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Timeline {
     machines: usize,
-    spans: Vec<Span>,
+    journal: Journal,
 }
 
-impl_to_json!(Span {
-    seq,
-    superstep,
-    phase,
-    label,
-    kind,
-    start,
-    dt,
-    barrier_wait if nonzero,
-    per_machine if nonempty,
-});
-impl_to_json!(Timeline { machines, spans });
+/// How the export writes one span: the timed event's fields, with its
+/// start time after `kind` and its per-machine vector last.
+struct SpanJson<'a> {
+    start: f64,
+    ev: &'a JournalEvent,
+}
+
+impl ToJson for SpanJson<'_> {
+    fn write_json(&self, w: &mut Writer) {
+        let ev = self.ev;
+        w.object(|o| {
+            o.field("seq", &ev.seq);
+            o.field("superstep", &ev.superstep);
+            o.field("phase", &ev.phase);
+            o.field("label", ev.label);
+            o.field("kind", &ev.kind);
+            o.field("start", &self.start);
+            o.field("dt", &ev.dt);
+            if json::nonzero(&ev.barrier_wait) {
+                o.field("barrier_wait", &ev.barrier_wait);
+            }
+            if json::nonempty(&ev.per_machine) {
+                o.field("per_machine", &ev.per_machine);
+            }
+        });
+    }
+}
+
+impl ToJson for Timeline {
+    fn write_json(&self, w: &mut Writer) {
+        w.object(|o| {
+            o.field("machines", &self.machines);
+            o.key("spans").array(self.spans().map(|(start, ev)| SpanJson { start, ev }));
+        });
+    }
+}
 
 impl Timeline {
-    pub fn new(machines: usize) -> Self {
-        Timeline { machines, spans: Vec::new() }
+    /// The timed events of `journal`, exported on `machines` per-machine
+    /// tracks. Shares the journal's events instead of copying them.
+    pub fn new(machines: usize, journal: Journal) -> Self {
+        Timeline { machines, journal }
     }
 
     /// Simulated machines in the cluster (one export track each). After an
@@ -163,35 +145,35 @@ impl Timeline {
         self.machines
     }
 
-    /// Grow the machine count after an elastic scale-out (never shrinks:
-    /// departed machines keep their export tracks — their spans are part of
-    /// the run).
-    pub fn ensure_machines(&mut self, n: usize) {
-        self.machines = self.machines.max(n);
+    fn timed(&self) -> impl Iterator<Item = &JournalEvent> + '_ {
+        self.journal.events().iter().filter(|ev| ev.kind.is_timed())
     }
 
-    pub fn push(&mut self, span: Span) {
-        self.spans.push(span);
-    }
-
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
+    /// Every span as its simulated start and its journal event, in commit
+    /// order. The start is the running sum of the earlier spans' `dt`.
+    pub fn spans(&self) -> impl Iterator<Item = (f64, &JournalEvent)> + '_ {
+        let mut clock = 0.0;
+        self.timed().map(move |ev| {
+            let start = clock;
+            clock += ev.dt;
+            (start, ev)
+        })
     }
 
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.timed().count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.timed().next().is_none()
     }
 
     /// Replay of span durations in commit order — bit-identical to the
     /// cluster clock (zero-duration memory events never advance it).
     pub fn total_time(&self) -> f64 {
         let mut t = 0.0;
-        for s in &self.spans {
-            t += s.dt;
+        for ev in self.timed() {
+            t += ev.dt;
         }
         t
     }
@@ -201,8 +183,8 @@ impl Timeline {
     /// span's `dt` and f64 addition is monotone.
     pub fn machine_busy(&self, m: MachineId) -> f64 {
         let mut t = 0.0;
-        for s in &self.spans {
-            if let Some(&b) = s.per_machine.get(m) {
+        for ev in self.timed() {
+            if let Some(&b) = ev.per_machine.get(m) {
                 t += b;
             }
         }
@@ -215,15 +197,15 @@ impl Timeline {
     pub fn critical_path(&self) -> CriticalPath {
         let mut total = 0.0;
         let mut rows: Vec<CriticalPathRow> = Vec::new();
-        for s in &self.spans {
-            total += s.dt;
-            let machine = s.gating_machine();
-            let idx = match rows.iter().position(|r| r.machine == machine && r.label == s.label) {
+        for ev in self.timed() {
+            total += ev.dt;
+            let machine = ev.gating_machine();
+            let idx = match rows.iter().position(|r| r.machine == machine && r.label == ev.label) {
                 Some(i) => i,
                 None => {
                     rows.push(CriticalPathRow {
                         machine,
-                        label: s.label.clone(),
+                        label: ev.label,
                         seconds: 0.0,
                         skew: 0.0,
                         spans: 0,
@@ -232,8 +214,8 @@ impl Timeline {
                 }
             };
             let row = &mut rows[idx];
-            row.seconds += s.dt;
-            row.skew += s.barrier_wait;
+            row.seconds += ev.dt;
+            row.skew += ev.barrier_wait;
             row.spans += 1;
         }
         rows.sort_by(|a, b| b.seconds.total_cmp(&a.seconds));
@@ -242,54 +224,39 @@ impl Timeline {
 
     /// Contiguous phase blocks, in time order.
     pub fn phase_blocks(&self) -> Vec<Block> {
-        self.blocks(|s| s.phase.clone())
+        self.blocks(|ev| Some(ev.phase), |p| p.name().to_string())
     }
 
     /// Contiguous superstep blocks within the execute phase.
     pub fn superstep_blocks(&self) -> Vec<Block> {
-        let mut blocks = Vec::new();
-        let mut i = 0;
-        while i < self.spans.len() {
-            if self.spans[i].phase != "execute" {
-                i += 1;
-                continue;
-            }
-            let key = self.spans[i].superstep;
-            let first = i;
-            while i < self.spans.len()
-                && self.spans[i].phase == "execute"
-                && self.spans[i].superstep == key
-            {
-                i += 1;
-            }
-            blocks.push(Block {
-                name: format!("superstep {key}"),
-                start: self.spans[first].start,
-                end: self.spans[i - 1].end(),
-                first,
-                last: i,
-            });
-        }
-        blocks
+        self.blocks(
+            |ev| (ev.phase == Phase::Execute).then_some(ev.superstep),
+            |s| format!("superstep {s}"),
+        )
     }
 
-    fn blocks(&self, key: impl Fn(&Span) -> String) -> Vec<Block> {
+    /// Maximal runs of consecutive spans with the same `key`; spans whose
+    /// key is `None` belong to no block.
+    fn blocks<K: PartialEq>(
+        &self,
+        key: impl Fn(&JournalEvent) -> Option<K>,
+        name: impl Fn(&K) -> String,
+    ) -> Vec<Block> {
         let mut blocks: Vec<Block> = Vec::new();
-        for (i, s) in self.spans.iter().enumerate() {
-            let k = key(s);
-            match blocks.last_mut() {
-                Some(b) if b.name == k && b.last == i => {
-                    b.end = s.end();
-                    b.last = i + 1;
+        let mut prev: Option<K> = None;
+        for (i, (start, ev)) in self.spans().enumerate() {
+            let k = key(ev);
+            if let Some(kv) = &k {
+                let end = start + ev.dt;
+                match blocks.last_mut() {
+                    Some(b) if prev.as_ref() == Some(kv) => {
+                        b.end = end;
+                        b.last = i + 1;
+                    }
+                    _ => blocks.push(Block { name: name(kv), start, end, first: i, last: i + 1 }),
                 }
-                _ => blocks.push(Block {
-                    name: k,
-                    start: s.start,
-                    end: s.end(),
-                    first: i,
-                    last: i + 1,
-                }),
             }
+            prev = k;
         }
         blocks
     }
@@ -305,21 +272,15 @@ impl Timeline {
     pub fn chrome_trace_with_host(&self, host: &[HostSpan]) -> String {
         // Trace-event timestamps are microseconds.
         let us = |secs: f64| secs * 1e6;
+        let spans: Vec<(f64, &JournalEvent)> = self.spans().collect();
         let mut ev = ChromeEvents::new();
         ev.meta(SIM_PID, 0, "process_name", "simulated cluster");
         ev.meta(SIM_PID, 0, "thread_name", "cluster (critical path)");
         for m in 0..self.machines {
             ev.meta(SIM_PID, 1 + m as u64, "thread_name", &format!("machine {m}"));
         }
-        if let (Some(first), Some(last)) = (self.spans.first(), self.spans.last()) {
-            ev.complete(
-                (SIM_PID, 0),
-                "run",
-                "run",
-                us(first.start),
-                us(last.end() - first.start),
-                None,
-            );
+        if let (Some(&(first, _)), Some(&(start, last))) = (spans.first(), spans.last()) {
+            ev.complete((SIM_PID, 0), "run", "run", us(first), us(start + last.dt - first), None);
         }
         for b in self.phase_blocks() {
             ev.complete((SIM_PID, 0), &b.name, "phase", us(b.start), us(b.end - b.start), None);
@@ -327,7 +288,7 @@ impl Timeline {
         for b in self.superstep_blocks() {
             ev.complete((SIM_PID, 0), &b.name, "superstep", us(b.start), us(b.end - b.start), None);
         }
-        for s in &self.spans {
+        for &(start, s) in &spans {
             let args = format!(
                 "{{\"seq\":{},\"superstep\":{},\"barrier_wait\":{},\"gating_machine\":{}}}",
                 s.seq,
@@ -338,14 +299,14 @@ impl Timeline {
                     None => "null".to_string(),
                 },
             );
-            ev.complete((SIM_PID, 0), &s.label, s.kind.name(), us(s.start), us(s.dt), Some(&args));
+            ev.complete((SIM_PID, 0), s.label, s.kind.name(), us(start), us(s.dt), Some(&args));
             for (m, &busy) in s.per_machine.iter().enumerate() {
                 if busy > 0.0 {
                     ev.complete(
                         (SIM_PID, 1 + m as u64),
-                        &s.label,
+                        s.label,
                         s.kind.name(),
-                        us(s.start),
+                        us(start),
                         us(busy),
                         None,
                     );
@@ -463,38 +424,45 @@ mod tests {
     use super::*;
 
     fn demo() -> Timeline {
+        use crate::journal::EventKind;
         let rows = [
-            (0, "load", "load", EventKind::HdfsRead, 0.0, 2.0, vec![2.0, 1.0]),
-            (0, "execute", "superstep", EventKind::Compute, 2.0, 3.0, vec![1.0, 3.0]),
-            (0, "execute", "shuffle", EventKind::Network, 5.0, 1.0, vec![1.0, 0.5]),
-            (0, "execute", "barrier", EventKind::Barrier, 6.0, 0.5, vec![]),
-            (1, "execute", "superstep", EventKind::Compute, 6.5, 2.0, vec![2.0, 1.0]),
-            (1, "save", "save", EventKind::HdfsWrite, 8.5, 1.0, vec![1.0, 1.0]),
+            (0, Phase::Load, "load", EventKind::HdfsRead, 2.0, vec![2.0, 1.0]),
+            (0, Phase::Load, "load", EventKind::Alloc, 0.0, vec![]),
+            (0, Phase::Execute, "superstep", EventKind::Compute, 3.0, vec![1.0, 3.0]),
+            (0, Phase::Execute, "shuffle", EventKind::Network, 1.0, vec![1.0, 0.5]),
+            (0, Phase::Execute, "barrier", EventKind::Barrier, 0.5, vec![]),
+            (1, Phase::Execute, "superstep", EventKind::Compute, 2.0, vec![2.0, 1.0]),
+            (1, Phase::Save, "save", EventKind::HdfsWrite, 1.0, vec![1.0, 1.0]),
         ];
-        let mut t = Timeline::new(2);
-        for (seq, (superstep, phase, label, kind, start, dt, per_machine)) in
-            rows.into_iter().enumerate()
+        let mut j = Journal::new();
+        for (seq, (superstep, phase, label, kind, dt, per_machine)) in rows.into_iter().enumerate()
         {
-            t.push(Span {
+            j.push(JournalEvent {
                 seq: seq as u64,
                 superstep,
-                phase: phase.into(),
-                label: label.into(),
+                phase,
+                label,
                 kind,
-                start,
                 dt,
-                barrier_wait: 0.0,
+                mem_delta: if kind.is_timed() { vec![] } else { vec![64, 64] },
                 per_machine,
+                ..JournalEvent::default()
             });
         }
-        t
+        Timeline::new(2, j)
     }
 
     #[test]
     fn spans_are_contiguous_and_total_replays_the_clock() {
         let t = demo();
-        for w in t.spans().windows(2) {
-            assert_eq!(w[0].end().to_bits(), w[1].start.to_bits());
+        let spans: Vec<_> = t.spans().collect();
+        // The memory event is not a span.
+        assert_eq!(spans.len(), 6);
+        assert_eq!(t.len(), 6);
+        let starts: Vec<f64> = spans.iter().map(|&(start, _)| start).collect();
+        assert_eq!(starts, vec![0.0, 2.0, 5.0, 6.0, 6.5, 8.5]);
+        for w in spans.windows(2) {
+            assert_eq!((w[0].0 + w[0].1.dt).to_bits(), w[1].0.to_bits());
         }
         assert_eq!(t.total_time(), 9.5);
     }
@@ -502,10 +470,11 @@ mod tests {
     #[test]
     fn gating_machine_is_the_slowest_and_first_wins_ties() {
         let t = demo();
-        assert_eq!(t.spans()[0].gating_machine(), Some(0));
-        assert_eq!(t.spans()[1].gating_machine(), Some(1));
-        assert_eq!(t.spans()[3].gating_machine(), None); // barrier
-        assert_eq!(t.spans()[5].gating_machine(), Some(0)); // tie -> first
+        let gating: Vec<Option<MachineId>> = t.spans().map(|(_, s)| s.gating_machine()).collect();
+        assert_eq!(gating[0], Some(0));
+        assert_eq!(gating[1], Some(1));
+        assert_eq!(gating[3], None); // barrier
+        assert_eq!(gating[5], Some(0)); // tie -> first
     }
 
     #[test]
@@ -527,7 +496,7 @@ mod tests {
         // save (1s); machine 1 gates superstep 0 (3s); nobody gates the
         // barrier (0.5s).
         let top = &cp.rows[0];
-        assert_eq!((top.machine, top.label.as_str()), (Some(1), "superstep"));
+        assert_eq!((top.machine, top.label), (Some(1), "superstep"));
         assert_eq!(top.seconds, 3.0);
         let barrier = cp.rows.iter().find(|r| r.label == "barrier").unwrap();
         assert_eq!(barrier.machine, None);
@@ -586,7 +555,7 @@ mod tests {
 
     #[test]
     fn empty_timeline_exports_an_empty_but_valid_trace() {
-        let t = Timeline::new(3);
+        let t = Timeline::new(3, Journal::new());
         let v: json::Value = json::parse(&t.chrome_trace()).unwrap();
         assert!(v["traceEvents"].as_array().unwrap().iter().all(|e| e["ph"] == "M"));
     }

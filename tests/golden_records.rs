@@ -11,7 +11,9 @@
 //! * `GRAPHBENCH_BLESS=1 cargo test` regenerates every snapshot;
 //! * on mismatch the test writes `<name>.actual.json` and
 //!   `<name>.journal.jsonl` next to the golden file (CI uploads them as
-//!   artifacts) and fails with a pointer to both.
+//!   artifacts) and fails with a pointer to both, naming the first
+//!   differing journal event (or, when the journals match, the first
+//!   differing line).
 //!
 //! The snapshots are host-independent by construction: simulated time is
 //! deterministic, and the journal/registry are bit-identical across
@@ -22,7 +24,7 @@ use graphbench::system::GlStop;
 use graphbench::{ExperimentSpec, MultiRunRecord, PaperEnv, RunRecord, Runner, SystemId};
 use graphbench_algos::WorkloadKind;
 use graphbench_gen::{DatasetKind, Scale};
-use graphbench_sim::json;
+use graphbench_sim::json::{self, Value};
 use graphbench_sim::{FaultEvent, FaultPlan};
 use std::path::{Path, PathBuf};
 
@@ -75,20 +77,22 @@ fn check_snapshot(name: &str, rec: &RunRecord) {
     let journal_path = dir.join(format!("{name}.journal.jsonl"));
     std::fs::write(&journal_path, rec.journal.to_jsonl()).expect("write journal");
     // A compact first-divergence pointer beats a full-file diff in a
-    // terminal.
-    let diverge = want
-        .lines()
-        .zip(actual.lines())
-        .position(|(a, b)| a != b)
-        .map(|i| {
-            format!(
-                "first differing line {}:\n  golden: {}\n  actual: {}",
-                i + 1,
-                want.lines().nth(i).unwrap_or(""),
-                actual.lines().nth(i).unwrap_or(""),
-            )
-        })
-        .unwrap_or_else(|| "files differ only in length".into());
+    // terminal: the first differing journal event, else the first
+    // differing line.
+    let diverge = first_journal_difference(&want, &actual).unwrap_or_else(|| {
+        want.lines()
+            .zip(actual.lines())
+            .position(|(a, b)| a != b)
+            .map(|i| {
+                format!(
+                    "first differing line {}:\n  golden: {}\n  actual: {}",
+                    i + 1,
+                    want.lines().nth(i).unwrap_or(""),
+                    actual.lines().nth(i).unwrap_or(""),
+                )
+            })
+            .unwrap_or_else(|| "files differ only in length".into())
+    });
     panic!(
         "golden mismatch for {name}\n{diverge}\n\
          actual record: {}\njournal: {}\n\
@@ -96,6 +100,54 @@ fn check_snapshot(name: &str, rec: &RunRecord) {
         actual_path.display(),
         journal_path.display(),
     );
+}
+
+/// The first journal event that differs between two serialized records:
+/// its seq, its first differing field (in name order) and both values.
+/// `None` when the journals are equal or a record does not parse.
+fn first_journal_difference(golden: &str, actual: &str) -> Option<String> {
+    let (golden, actual) = (json::parse(golden).ok()?, json::parse(actual).ok()?);
+    let g = golden["journal"]["events"].as_array()?;
+    let a = actual["journal"]["events"].as_array()?;
+    let fields = |ev: &Value| match ev {
+        Value::Object(members) => members.keys().cloned().collect(),
+        _ => Vec::new(),
+    };
+    let shown = |v: Option<&Value>| v.map_or_else(|| "(absent)".to_string(), Value::to_string);
+    if let Some((ge, ae)) = g.iter().zip(a).find(|(ge, ae)| ge != ae) {
+        let field =
+            fields(ge).into_iter().chain(fields(ae)).filter(|k| ge.get(k) != ae.get(k)).min()?;
+        return Some(format!(
+            "first differing journal event: seq {}, field `{field}`\n  golden: {}\n  actual: {}",
+            ge["seq"],
+            shown(ge.get(&field)),
+            shown(ae.get(&field)),
+        ));
+    }
+    (g.len() != a.len()).then(|| {
+        format!("journals differ in length: golden {} events, actual {}", g.len(), a.len())
+    })
+}
+
+#[test]
+fn golden_mismatch_names_the_first_differing_journal_event() {
+    let record = |dt: &str, wait: &str| {
+        format!(
+            r#"{{"system":"G","journal":{{"events":[
+                {{"seq":0,"label":"overhead","kind":"startup","dt":1.0}},
+                {{"seq":1,"label":"superstep","kind":"compute","dt":{dt}{wait}}}
+            ]}},"runtime":3.0}}"#
+        )
+    };
+    let golden = record("2.0", "");
+    let msg = first_journal_difference(&golden, &record("2.5", "")).unwrap();
+    assert!(msg.contains("seq 1, field `dt`"), "{msg}");
+    assert!(msg.contains("golden: 2.0") && msg.contains("actual: 2.5"), "{msg}");
+    // A field left out when zero shows as absent.
+    let msg = first_journal_difference(&golden, &record("2.0", r#","barrier_wait":0.5"#)).unwrap();
+    assert!(msg.contains("field `barrier_wait`") && msg.contains("golden: (absent)"), "{msg}");
+    // Equal journals leave the message to the line diff.
+    assert_eq!(first_journal_difference(&golden, &golden.replace("3.0", "4.0")), None);
 }
 
 fn golden_cell(system: SystemId, workload: WorkloadKind) {

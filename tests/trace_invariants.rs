@@ -21,7 +21,7 @@ use graphbench::{ExperimentSpec, PaperEnv, RunRecord, Runner, SystemId};
 use graphbench_algos::WorkloadKind;
 use graphbench_gen::{DatasetKind, Scale};
 use graphbench_sim::json;
-use graphbench_sim::{FaultEvent, FaultPlan, Timeline};
+use graphbench_sim::{FaultEvent, FaultPlan, JournalEvent, Phase, Timeline};
 
 /// The golden-record configuration (tests/golden_records.rs); the cells
 /// checked here are exactly the goldened engine×workload matrix.
@@ -48,17 +48,17 @@ fn cell(system: SystemId, workload: WorkloadKind) -> RunRecord {
 
 fn assert_spans_well_formed(tl: &Timeline, label: &str) {
     assert!(!tl.is_empty(), "{label}: empty timeline");
-    let spans = tl.spans();
-    assert_eq!(spans[0].start, 0.0, "{label}: first span starts at the epoch");
+    let spans: Vec<(f64, &JournalEvent)> = tl.spans().collect();
+    assert_eq!(spans[0].0, 0.0, "{label}: first span starts at the epoch");
     for (i, w) in spans.windows(2).enumerate() {
         assert_eq!(
-            w[0].end().to_bits(),
-            w[1].start.to_bits(),
+            (w[0].0 + w[0].1.dt).to_bits(),
+            w[1].0.to_bits(),
             "{label}: span {i} does not abut span {}",
             i + 1
         );
     }
-    for (i, s) in spans.iter().enumerate() {
+    for (i, &(_, s)) in spans.iter().enumerate() {
         assert!(s.dt >= 0.0 && s.dt.is_finite(), "{label}: span {i} bad dt {}", s.dt);
         assert!(s.barrier_wait >= 0.0, "{label}: span {i} negative wait");
         if s.per_machine.is_empty() {
@@ -89,13 +89,15 @@ fn assert_spans_well_formed(tl: &Timeline, label: &str) {
 }
 
 fn assert_blocks_partition(tl: &Timeline, label: &str) {
+    let spans: Vec<(f64, &JournalEvent)> = tl.spans().collect();
     let phases = tl.phase_blocks();
     let mut next = 0usize;
     for b in &phases {
         assert_eq!(b.first, next, "{label}: phase block gap at {}", b.name);
         assert!(b.last > b.first, "{label}: empty phase block {}", b.name);
-        assert_eq!(b.start.to_bits(), tl.spans()[b.first].start.to_bits(), "{label}");
-        assert_eq!(b.end.to_bits(), tl.spans()[b.last - 1].end().to_bits(), "{label}");
+        assert_eq!(b.start.to_bits(), spans[b.first].0.to_bits(), "{label}");
+        let (start, last) = spans[b.last - 1];
+        assert_eq!(b.end.to_bits(), (start + last.dt).to_bits(), "{label}");
         next = b.last;
     }
     assert_eq!(next, tl.len(), "{label}: phase blocks do not cover the timeline");
@@ -104,7 +106,7 @@ fn assert_blocks_partition(tl: &Timeline, label: &str) {
     for b in tl.superstep_blocks() {
         assert!(b.first >= prev_end, "{label}: superstep blocks overlap");
         assert!(
-            tl.spans()[b.first..b.last].iter().all(|s| s.phase == "execute"),
+            spans[b.first..b.last].iter().all(|(_, s)| s.phase == Phase::Execute),
             "{label}: superstep block {} leaves the execute phase",
             b.name
         );
@@ -214,8 +216,7 @@ fn faulted_runs_still_decompose_bit_for_bit() {
     assert!(
         rec.timeline
             .spans()
-            .iter()
-            .any(|s| s.label == "straggler" && s.per_machine.is_empty() && s.dt > 0.0),
+            .any(|(_, s)| s.label == "straggler" && s.per_machine.is_empty() && s.dt > 0.0),
         "no straggler stall span in the faulted timeline"
     );
 }
@@ -244,32 +245,7 @@ fn elastic_runs_still_decompose_bit_for_bit() {
     assert!(rec.runtime > clean.runtime, "migration should cost simulated time");
     assert_all(&rec);
     assert!(
-        rec.timeline.spans().iter().any(|s| s.label == "migrate" && s.dt > 0.0),
+        rec.timeline.spans().any(|(_, s)| s.label == "migrate" && s.dt > 0.0),
         "no migrate span in the elastic timeline"
     );
-}
-
-/// The timeline mirrors the journal one-to-one on timed events: same
-/// count, same seq/superstep/phase/label/kind/dt/barrier_wait.
-#[test]
-fn timeline_mirrors_the_journal_timed_events() {
-    let rec = cell(SystemId::Giraph, WorkloadKind::PageRank);
-    let timed: Vec<_> = rec
-        .journal
-        .events()
-        .iter()
-        .filter(|e| {
-            !matches!(e.kind, graphbench_sim::EventKind::Alloc | graphbench_sim::EventKind::Free)
-        })
-        .collect();
-    assert_eq!(timed.len(), rec.timeline.len());
-    for (ev, span) in timed.iter().zip(rec.timeline.spans()) {
-        assert_eq!(ev.seq, span.seq);
-        assert_eq!(ev.superstep, span.superstep);
-        assert_eq!(ev.phase, span.phase);
-        assert_eq!(ev.label, span.label);
-        assert_eq!(ev.kind, span.kind);
-        assert_eq!(ev.dt.to_bits(), span.dt.to_bits());
-        assert_eq!(ev.barrier_wait.to_bits(), span.barrier_wait.to_bits());
-    }
 }
